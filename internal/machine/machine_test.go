@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"lazyrc/internal/config"
@@ -257,5 +258,35 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic execution: %d vs %d cycles", a, b)
+	}
+}
+
+// TestRunPanicCarriesDumpState: a panic inside a processor body — an app
+// bug or a protocol assertion reached from an access — surfaces from
+// m.Run on the caller's goroutine, where it can be recovered, with the
+// machine's state dump appended.
+func TestRunPanicCarriesDumpState(t *testing.T) {
+	m := newTest(t, "lrc", 8, nil)
+	a := m.AllocI64(800 * 16)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.Run(func(p *Proc) {
+			if p.ID() == 0 {
+				p.Compute(500)
+				p.ReadI64(a.At(0))
+				panic("worker bug")
+			}
+			for i := 0; i < 100; i++ {
+				p.ReadI64(a.At((p.ID()*100 + i) * 16))
+			}
+		})
+	}()
+	dump := m.DumpState()
+	if dump == "" {
+		t.Fatal("no transaction in flight at the panic; the test lost its point")
+	}
+	if want := fmt.Sprintf("%v\n%s", "worker bug", dump); got != want {
+		t.Fatalf("m.Run panicked with %q, want %q", got, want)
 	}
 }

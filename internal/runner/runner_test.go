@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -316,6 +317,27 @@ func TestCancellationStopsRealSimulation(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("canceled simulation did not stop")
+	}
+}
+
+// TestCanceledJobReleasesContexts: a job stopped by cancellation
+// frees its processor contexts, so an abandoned run (and the machine
+// its contexts reference) does not outlive the job.
+func TestCanceledJobReleasesContexts(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := execWith(tinyJob("gauss", "lrc"), hooks{ctx: ctx})
+	if !res.Canceled || res.Completed {
+		t.Fatalf("job under a dead context not canceled: %+v", res)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("goroutines = %d after a canceled job, above the baseline %d", n, base)
 	}
 }
 

@@ -45,3 +45,46 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkContextSleep measures one coroutine handoff round trip: a
+// context's Sleep(1) schedules its wake-up, yields to the engine, and the
+// wake-up event hands control back — the switch every simulated
+// processor pays on each miss, stall, sync operation and run-ahead
+// quantum.
+func BenchmarkContextSleep(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Spawn("sleeper", func(c *Context) {
+		for i := 0; i < b.N; i++ {
+			c.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkContextPingPong measures a wake-up crossing between two
+// contexts: each iteration, the first context arranges for the second
+// to be woken and parks, and the second wakes the first in turn — two
+// Park/Wake round trips and four events per iteration.
+func BenchmarkContextPingPong(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	var ping, pong *Context
+	wakePing := func() { ping.Wake() }
+	wakePong := func() { pong.Wake() }
+	ping = e.Spawn("ping", func(c *Context) {
+		for i := 0; i < b.N; i++ {
+			e.At(c.Now(), wakePong)
+			c.Park("pong")
+		}
+	})
+	pong = e.Spawn("pong", func(c *Context) {
+		for i := 0; i < b.N; i++ {
+			c.Park("ping")
+			e.At(c.Now(), wakePing)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}

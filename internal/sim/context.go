@@ -1,11 +1,22 @@
+//go:build go1.23
+
+// iter.Pull is a Go 1.23 API. The build constraint raises this file's
+// language version to match, so the module's go directive (and every
+// module that requires this one) can stay where it is.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Context is a coroutine-style simulated processor context. Its body runs
-// on its own goroutine but is strictly interleaved with the engine: at any
+// as an iter.Pull coroutine strictly interleaved with the engine: at any
 // instant either the engine (and its event handlers) or exactly one
-// context is executing.
+// context is executing, and control passes between them by a direct
+// coroutine switch rather than through the goroutine scheduler. A panic
+// in the body comes back out of Engine.Run on the caller's goroutine.
 //
 // A context interacts with simulated time through Sleep and Park/Wake.
 // Park must only be called after the caller has arranged — directly or
@@ -13,9 +24,14 @@ import "fmt"
 // detects the alternative (all events drained, contexts still parked) and
 // panics with a deadlock report.
 type Context struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	name string
+
+	next   func() (struct{}, bool) // runs the body until it next blocks or returns
+	stop   func()                  // unwinds a suspended body (see Engine.release)
+	yield  func(struct{}) bool     // suspends the body; false once stopped
+	resume func()                  // event callback that transfers control here
+
 	done   bool
 	parked bool
 
@@ -24,18 +40,27 @@ type Context struct {
 	progress uint64
 }
 
+// abandoned is the panic value that unwinds the body of a context whose
+// coroutine is stopped while suspended. Only Spawn's wrapper recovers it.
+type abandoned struct{}
+
 // Spawn creates a context executing fn, scheduled to start at the current
 // simulated time. The name appears in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, resume: make(chan struct{})}
-	e.contexts = append(e.contexts, c)
-	go func() {
-		<-c.resume // wait for first transfer
+	c := &Context{eng: e, name: name}
+	c.resume = c.transfer
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != (abandoned{}) {
+				panic(r)
+			}
+		}()
 		fn(c)
 		c.done = true
-		e.yield <- struct{}{}
-	}()
-	e.At(e.now, func() { c.transfer() })
+	})
+	e.contexts = append(e.contexts, c)
+	e.At(e.now, c.resume)
 	return c
 }
 
@@ -49,29 +74,30 @@ func (c *Context) Engine() *Engine { return c.eng }
 // running.
 func (c *Context) Now() Time { return c.eng.now }
 
-// transfer hands control from the engine goroutine to the context and
-// blocks until the context yields back. It must run on the engine
-// goroutine (i.e., from an event handler).
+// transfer hands control from the engine to the context and returns when
+// the context blocks or finishes. It must run on the engine side (i.e.,
+// from an event handler). A panic in the body propagates out of it.
 func (c *Context) transfer() {
 	if c.done {
 		panic(fmt.Sprintf("sim: resuming finished context %q", c.name))
 	}
 	c.progress++
-	c.resume <- struct{}{}
-	<-c.eng.yield
+	c.next()
 }
 
-// block yields control to the engine and waits to be resumed. It must run
-// on the context's goroutine.
+// block yields control to the engine and returns when the context is
+// resumed. It must run on the context itself. If the engine abandons the
+// context instead, block unwinds the body with the abandoned panic.
 func (c *Context) block() {
-	c.eng.yield <- struct{}{}
-	<-c.resume
+	if !c.yield(struct{}{}) {
+		panic(abandoned{})
+	}
 }
 
 // Sleep advances the context by d cycles of simulated time, letting other
 // activity proceed in between.
 func (c *Context) Sleep(d uint64) {
-	c.eng.After(d, func() { c.transfer() })
+	c.eng.After(d, c.resume)
 	c.block()
 }
 
@@ -87,16 +113,9 @@ func (c *Context) Park(why string) uint64 {
 }
 
 // Wake schedules the parked context to resume at the current simulated
-// time. It must be called from an event handler (engine goroutine), never
-// from another context's body, and panics if the context is not parked.
-func (c *Context) Wake() {
-	if !c.parked {
-		panic(fmt.Sprintf("sim: waking context %q which is not parked", c.name))
-	}
-	c.parked = false
-	delete(c.eng.parked, c)
-	c.eng.At(c.eng.now, func() { c.transfer() })
-}
+// time. It must be called from an event handler, never from another
+// context's body, and panics if the context is not parked.
+func (c *Context) Wake() { c.WakeAt(c.eng.now) }
 
 // WakeAt schedules the parked context to resume at absolute time t >= now.
 func (c *Context) WakeAt(t Time) {
@@ -105,7 +124,7 @@ func (c *Context) WakeAt(t Time) {
 	}
 	c.parked = false
 	delete(c.eng.parked, c)
-	c.eng.At(t, func() { c.transfer() })
+	c.eng.At(t, c.resume)
 }
 
 // Parked reports whether the context is currently parked.

@@ -1,12 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with coroutine-style processor contexts and FIFO occupancy resources.
 //
-// The engine and all event handlers run on a single goroutine; processor
-// contexts are goroutines that execute strictly one at a time, handing
-// control back to the engine whenever they block on simulated time. Events
-// with equal timestamps fire in scheduling order (a monotonically
-// increasing sequence number breaks ties), so a given program produces an
-// identical cycle-accurate schedule on every run.
+// The engine and all event handlers run on the caller's goroutine;
+// processor contexts are iter.Pull coroutines that execute strictly one
+// at a time, switching control back to the engine whenever they block on
+// simulated time. Events with equal timestamps fire in scheduling order
+// (a monotonically increasing sequence number breaks ties), so a given
+// program produces an identical cycle-accurate schedule on every run.
 package sim
 
 import (
@@ -63,8 +63,6 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 
-	yield chan struct{} // contexts signal here when handing control back
-
 	contexts []*Context
 	parked   map[*Context]string // parked context -> wait reason
 
@@ -109,7 +107,6 @@ func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
 	return &Engine{
-		yield:  make(chan struct{}),
 		parked: map[*Context]string{},
 		events: make(eventHeap, 0, 1024),
 	}
@@ -214,7 +211,11 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Run executes events until the queue drains and every context has
 // finished. If the queue drains while contexts are still parked, the
 // simulation is deadlocked and Run panics with a per-context report.
+// However Run ends — early after Stop, or by a panic from the deadlock
+// check, an event handler or a context body — it releases every
+// unfinished context, so an abandoned run holds no coroutines.
 func (e *Engine) Run() {
+	defer e.release()
 	for !e.events.emptied() && e.nbg < len(e.events) {
 		if e.stopped {
 			return
@@ -241,7 +242,8 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then stops.
-// It does not treat remaining parked contexts as a deadlock.
+// It does not treat remaining parked contexts as a deadlock, and keeps
+// them alive for a later Run or RunUntil.
 func (e *Engine) RunUntil(t Time) {
 	for !e.events.emptied() && e.events.peek().at <= t {
 		if e.stopped {
@@ -257,6 +259,17 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	if e.now < t {
 		e.now = t
+	}
+}
+
+// release stops the coroutine of every unfinished context, unwinding its
+// suspended body (deferred calls run; the code after its blocking call
+// does not). The contexts keep their parked state for diagnostics.
+func (e *Engine) release() {
+	for _, c := range e.contexts {
+		if !c.done {
+			c.stop()
+		}
 	}
 }
 

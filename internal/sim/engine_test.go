@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -148,7 +149,10 @@ func TestParkWake(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetection also pins that the deadlock panic releases the
+// parked contexts it reports on its way out of Run.
 func TestDeadlockDetection(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	e.Spawn("stuck-proc", func(c *Context) {
 		c.Park("a wake that never comes")
@@ -161,6 +165,9 @@ func TestDeadlockDetection(t *testing.T) {
 		msg := fmt.Sprint(r)
 		if !strings.Contains(msg, "stuck-proc") || !strings.Contains(msg, "a wake that never comes") {
 			t.Fatalf("deadlock report missing context info: %q", msg)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("goroutines = %d after a deadlock panic, above the baseline %d", n, base)
 		}
 	}()
 	e.Run()
