@@ -42,7 +42,7 @@ func main() {
 	log.SetPrefix("lrcsimd: ")
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7077", "listen address")
-		storeDir = flag.String("store", "", "segment-store directory for persistent results (empty: in-memory only)")
+		storeDir = flag.String("store", "", "segment-store directory for persistent results, the format paperbench -cache writes (empty: in-memory only)")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker count")
 		grace    = flag.Duration("grace", 30*time.Second, "shutdown drain budget before in-flight work is canceled")
 		version  = flag.Bool("version", false, "print build info and exit")

@@ -9,13 +9,15 @@
 // The evaluation matrix executes through internal/runner: simulations
 // run concurrently on -j workers, results are deduplicated by content
 // fingerprint (figures sharing a cell simulate it once), an optional
-// -cache file carries results across invocations (a warm rerun performs
-// zero simulations), and -baseline gates the fresh report against a
-// committed reference. The rendered output is bit-identical for any -j.
+// -cache directory carries results across invocations (a warm rerun
+// performs zero simulations; it is the same segment store lrcsimd -store
+// uses, so either tool can warm it for the other), and -baseline gates
+// the fresh report against a committed reference. The rendered output is
+// bit-identical for any -j.
 //
 // Usage:
 //
-//	paperbench [-scale small] [-procs 64] [-j N] [-cache results.jsonl]
+//	paperbench [-scale small] [-procs 64] [-j N] [-cache results/]
 //	           [-baseline BENCH_baseline.json -tol 0] [targets...]
 //
 // Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
@@ -42,6 +44,7 @@ import (
 	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/runner"
+	"lazyrc/internal/store"
 )
 
 func main() {
@@ -54,7 +57,7 @@ func main() {
 		jsonOut    = flag.String("json", "", "also write a machine-readable report to this file")
 		seed       = flag.Uint64("seed", 1, "base random seed stamped into every run's configuration; a report plus its seed fully determines a replay")
 		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker count; results are bit-identical for any value")
-		cacheFile  = flag.String("cache", "", "content-addressed JSONL result store; fingerprint-identical runs are served from it instead of re-simulating")
+		cacheDir   = flag.String("cache", "", "result store directory (the lrcsimd -store format); fingerprint-identical runs are served from it instead of re-simulating")
 		baseline   = flag.String("baseline", "", "regression-gate baseline report (JSON); out-of-tolerance drift exits non-zero")
 		tol        = flag.Float64("tol", 0, "gate tolerance on cycle counts and traffic, in percent of the baseline value")
 		writeBase  = flag.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
@@ -119,19 +122,19 @@ func main() {
 
 	// The store is held as the concrete type for Close, but the runner
 	// takes the interface: pass untyped nil when no cache was requested so
-	// the runner's store==nil fast path applies (a typed-nil *runner.Store
+	// the runner's store==nil fast path applies (a typed-nil *store.Store
 	// inside the interface would not compare equal to nil).
-	var store *runner.Store
+	var cache *store.Store
 	var rstore runner.ResultStore
-	if *cacheFile != "" {
-		store, err = runner.OpenStore(*cacheFile)
+	if *cacheDir != "" {
+		cache, err = store.Open(*cacheDir)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("-cache: %v (older versions wrote a JSONL file here; pass a directory)", err)
 		}
-		if n := store.Recovered(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheFile)
+		if n := cache.Recovered(); n > 0 && !*quiet {
+			fmt.Fprintf(os.Stderr, "cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheDir)
 		}
-		rstore = store
+		rstore = cache
 	}
 	rn := runner.New(*workers, rstore)
 	if !*quiet {
@@ -279,8 +282,8 @@ func main() {
 				*baseline, len(base.Runs), *tol)
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
+	if cache != nil {
+		if err := cache.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: cache: %v\n", err)
 			exitCode = 1
 		}

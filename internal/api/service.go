@@ -139,14 +139,16 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 	s.rn.Emit = s.onEvent
 	if st != nil {
 		// Resurrection submissions carry a synthetic request ID so their
-		// lifecycle log lines are distinguishable from client traffic.
+		// lifecycle log lines are distinguishable from client traffic,
+		// and leave the registry they were read from as it is: the next
+		// client submission rewrites it.
 		bootCtx := obs.WithRequestID(context.Background(), "boot")
 		for _, raw := range st.Sweeps() {
 			var spec exp.Spec
 			if err := json.Unmarshal(raw, &spec); err != nil {
 				continue // schema drift: skip, the registry rewrites on next submit
 			}
-			s.SubmitSweep(bootCtx, spec) // a spec that no longer validates is dropped
+			s.submitSweep(bootCtx, spec, false) // a spec that no longer validates is dropped
 		}
 	}
 	return s
@@ -349,6 +351,12 @@ func (s *Service) trackRate(ev runner.Event) {
 // into every lifecycle log line; it does NOT bound the sweep's
 // execution — the sweep outlives the request.
 func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepStatus, bool, error) {
+	return s.submitSweep(submitCtx, spec, true)
+}
+
+// submitSweep is SubmitSweep; persist selects whether a newly created
+// sweep rewrites the store's sweep registry.
+func (s *Service) submitSweep(submitCtx context.Context, spec exp.Spec, persist bool) (SweepStatus, bool, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return SweepStatus{}, false, err
@@ -394,7 +402,9 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 	s.mu.Unlock()
 
 	s.log.Info("sweep submitted", "sweep", id, "jobs", len(jobs), "request_id", reqID)
-	s.persistSweeps()
+	if persist {
+		s.persistSweeps()
+	}
 	go s.runSweep(ctx, sw, norm)
 	return st, true, nil
 }

@@ -525,18 +525,6 @@ func (t *Tracer) Service(kind Kind, node int, block uint64, reqAt, start, end ui
 	})
 }
 
-// ServiceTarget is Service with an explicit peer node (notice fan-out
-// target, forwarded-request owner).
-func (t *Tracer) ServiceTarget(kind Kind, node, peer int, block uint64, reqAt, start, end uint64) {
-	if t == nil {
-		return
-	}
-	t.record(Span{
-		TID: t.cur, Kind: kind, Node: int32(node), Peer: int32(peer), MsgKind: -1,
-		Block: block, Begin: reqAt, End: end, Wait: start - reqAt,
-	})
-}
-
 // ---- Store accessors -------------------------------------------------------
 
 // Spans returns the retained span store in record order. Entries with
@@ -575,14 +563,6 @@ func (t *Tracer) Dropped() uint64 {
 		return 0
 	}
 	return t.dropped
-}
-
-// MaxTID returns the highest transaction id issued.
-func (t *Tracer) MaxTID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.nextTID
 }
 
 // Digest returns the run's span-stream fingerprint: an FNV-1a fold of
@@ -643,21 +623,4 @@ func (t *Tracer) byTID() map[uint64][]*Span {
 		m[s.TID] = append(m[s.TID], s)
 	}
 	return m
-}
-
-// Roots returns the retained root spans (transactions and sync
-// episodes) sorted by begin cycle.
-func (t *Tracer) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	var out []*Span
-	for i := range t.spans {
-		s := &t.spans[i]
-		if s.ID != 0 && (s.Kind == KindTxn || s.Kind == KindSync) {
-			out = append(out, s)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Begin < out[j].Begin })
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
+	"lazyrc/internal/store"
 )
 
 func tinyEvaluator() *Evaluator { return NewEvaluator(apps.Tiny, 8) }
@@ -311,10 +312,10 @@ func TestEvaluatorSharedStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	path := t.TempDir() + "/results.jsonl"
+	dir := t.TempDir()
 	cells := TargetCells([]string{"table3"})
 
-	cold, err := runner.OpenStore(path)
+	cold, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +325,15 @@ func TestEvaluatorSharedStore(t *testing.T) {
 	if m := e1.R.Meta(); m.Simulated == 0 || m.CacheHits != 0 {
 		t.Fatalf("cold run meta: %+v", m)
 	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	warm, err := runner.OpenStore(path)
+	warm, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer warm.Close()
 	e2 := NewEvaluatorWith(apps.Tiny, 4, runner.New(4, warm))
 	e2.Prefetch(cells)
 	rep2 := reportBytes(t, e2)

@@ -62,9 +62,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// PhaseNames returns the taxonomy in enum order.
-func PhaseNames() []string { return append([]string(nil), phaseNames[:]...) }
-
 // Profiler accumulates monotonic wall-clock time per phase. All methods
 // are safe on a nil receiver (free no-ops), so instrumented subsystems
 // call them unconditionally. A Profiler is single-threaded, like the

@@ -22,12 +22,9 @@ type Env struct {
 	Class *stats.Classifier
 	Nodes []*Node
 
-	// Debug, when non-nil, receives protocol-internal trace lines.
-	Debug func(format string, args ...any)
-
 	// Observe, when non-nil, receives protocol-level events (sync
-	// operations, the write-notice lifecycle) — the tracer and the model
-	// checker attach here. Purely passive; never alters timing.
+	// operations, the write-notice lifecycle) — the message tracer
+	// (internal/trace) attaches here. Purely passive; never alters timing.
 	Observe func(ProtEvent)
 
 	// Mem, when non-nil, shadows the data values each cache copy and home
@@ -47,13 +44,6 @@ type Env struct {
 
 	// pageHome is the FirstTouch page-placement table (-1 = untouched).
 	pageHome []int
-}
-
-// debugf emits a protocol-internal trace line when debugging is enabled.
-func (n *Node) debugf(format string, args ...any) {
-	if n.Env.Debug != nil {
-		n.Env.Debug("%7d node%d "+format, append([]any{n.Env.Eng.Now(), n.ID}, args...)...)
-	}
 }
 
 // HomeOf returns the home node of a coherence block. Shared pages are
@@ -666,16 +656,6 @@ func (n *Node) OutstandingCount() int { return n.nOutstanding }
 // HasTxn reports whether this node has an outstanding transaction for
 // block.
 func (n *Node) HasTxn(block uint64) bool { return n.outstanding[block] != nil }
-
-// TxnBlocks returns the blocks of all outstanding transactions (order
-// unspecified).
-func (n *Node) TxnBlocks() []uint64 {
-	bs := make([]uint64, 0, len(n.outstanding))
-	for b := range n.outstanding {
-		bs = append(bs, b)
-	}
-	return bs
-}
 
 // WTPendingCount returns the write-throughs/write-backs awaiting memory
 // acknowledgement.

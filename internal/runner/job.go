@@ -1,8 +1,8 @@
 // Package runner is the experiment execution engine: it turns the
 // evaluation's (application × protocol × configuration) matrix into
 // fingerprinted jobs, executes them on a bounded worker pool with per-job
-// panic capture, reuses results through a content-addressed JSONL store,
-// and gates fresh reports against a committed baseline.
+// panic capture, reuses results through a content-addressed result store
+// (internal/store), and gates fresh reports against a committed baseline.
 //
 // Every job is a pure function of its spec — the simulator is
 // deterministic and shares no mutable global state — so results are safe

@@ -10,9 +10,8 @@ import (
 )
 
 // ResultStore is the persistence contract the runner reuses results
-// through: the flat JSONL Store in this package and the segment store in
-// internal/store both satisfy it. Implementations must be safe for
-// concurrent use.
+// through; the segment store in internal/store implements it.
+// Implementations must be safe for concurrent use.
 type ResultStore interface {
 	// Get returns the stored result for a fingerprint. The returned
 	// result must be private to the caller (annotating it must not

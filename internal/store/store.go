@@ -1,25 +1,33 @@
-// Package store is the daemon's persistent result database: an indexed,
-// append-only segment store keyed by job fingerprint, replacing the flat
-// JSONL cache file for long-running service use.
+// Package store is the persistent result database shared by paperbench
+// (-cache DIR), the lrcsimd daemon (-store DIR) and the lrcbench
+// benchmark: an indexed, append-only segment store keyed by job
+// fingerprint. A directory warmed by one tool serves the others.
 //
 // Layout: a directory of numbered segment files (000001.seg, ...), each
-// a sequence of JSON lines in the same encoding as the runner's flat
-// cache — one runner.Result per line. Writes append to the newest
-// segment and roll to a fresh one past a size threshold, so no file
-// grows without bound. An in-memory index maps fingerprint → (segment,
-// offset, length); reads are a single pread, and the store never holds
-// result payloads in memory.
+// a sequence of JSON lines — one runner.Result per line. Writes append
+// to the newest segment and roll to a fresh one past a size threshold,
+// so no file grows without bound. An in-memory index maps fingerprint →
+// (segment, offset, length); reads are a single pread, and the store
+// never holds result payloads in memory.
 //
-// Recovery follows the runner cache's corrupt-line discipline: a line
-// that fails to parse — a torn write, a manual edit, a truncated tail —
-// is skipped and counted, never fatal. A torn tail on the newest segment
-// is additionally sealed with a newline so later appends cannot fuse
-// with the wreckage. When the same fingerprint appears more than once
-// (a re-put, or a crash between append and compaction), the latest line
-// wins.
+// Several processes may append to one directory at once (two paperbench
+// runs sharing a -cache, say): the active segment is opened O_APPEND, so
+// each line lands whole at the end of the file, and a handle indexes the
+// line at the offset the write actually reached. A handle does not see
+// lines other handles append after it opened; it re-simulates those
+// cells, and the next Open indexes them all.
+//
+// Recovery: a line that fails to parse — a torn write, a manual edit, a
+// truncated tail — is skipped and counted, never fatal. A torn tail on
+// the newest segment is additionally sealed with a newline so later
+// appends cannot fuse with the wreckage. When the same fingerprint
+// appears more than once (a re-put, or a crash between append and
+// compaction), the latest line wins.
 //
 // Compaction rewrites every live entry into one fresh segment and
-// deletes the rest. It is crash-safe by ordering: the compacted segment
+// deletes the rest. It assumes it is the only handle on the directory —
+// lines other processes append meanwhile are lost — so only the daemon
+// calls it. It is crash-safe by ordering: the compacted segment
 // is built in a temp file, fsynced, and renamed into place as the
 // *newest* segment before any old segment is removed — a crash at any
 // point leaves either the old segments, or both (where newest-wins makes
@@ -29,6 +37,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,9 +61,8 @@ type loc struct {
 }
 
 // Store is the segment store. Safe for concurrent use within one
-// process; the on-disk format assumes a single writing process (the
-// daemon), unlike the flat JSONL cache which tolerates concurrent
-// appenders.
+// process; Put and Get also tolerate other handles appending to the same
+// directory, Compact does not.
 type Store struct {
 	dir    string
 	maxSeg int64
@@ -87,7 +95,8 @@ func WithSegmentBytes(n int64) Option {
 	}
 }
 
-// Open loads (or creates) the store rooted at dir.
+// Open loads (or creates) the store rooted at dir. An existing dir that
+// is not a directory is refused.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		dir:    dir,
@@ -97,6 +106,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	for _, o := range opts {
 		o(s)
+	}
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("store: %s is a file, not a store directory", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -148,7 +160,7 @@ func (s *Store) segPath(id int) string { return filepath.Join(s.dir, segName(id)
 func (s *Store) openSegment(id int, active bool) error {
 	flags := os.O_RDONLY
 	if active {
-		flags = os.O_RDWR | os.O_CREATE
+		flags = os.O_RDWR | os.O_CREATE | os.O_APPEND
 	}
 	f, err := os.OpenFile(s.segPath(id), flags, 0o644)
 	if err != nil {
@@ -162,12 +174,16 @@ func (s *Store) openSegment(id int, active bool) error {
 	if torn {
 		if active {
 			// Seal the torn tail so the next append starts a fresh
-			// line instead of fusing with the wreckage.
-			if _, err := f.WriteAt([]byte("\n"), size); err != nil {
+			// line instead of fusing with the wreckage; the sealed tail
+			// stays on disk as one dead line.
+			_, err := f.Write([]byte("\n"))
+			if err == nil {
+				size, err = f.Seek(0, io.SeekCurrent)
+			}
+			if err != nil {
 				f.Close()
 				return fmt.Errorf("store: sealing torn tail of %s: %w", segName(id), err)
 			}
-			size++
 		}
 		s.dropped++
 	}
@@ -283,23 +299,31 @@ func (s *Store) Put(r *runner.Result) error {
 			return err
 		}
 	}
+	// O_APPEND places the line at the end of the file, past anything
+	// another handle appended; the file position after the write says
+	// where it landed.
 	f := s.segs[s.activeID]
-	off := s.activeSize
-	if _, err := f.WriteAt(append(line, '\n'), off); err != nil {
+	_, err = f.Write(append(line, '\n'))
+	var end int64
+	if err == nil {
+		end, err = f.Seek(0, io.SeekCurrent)
+	}
+	if err != nil {
 		s.writeErr = err
 		return fmt.Errorf("store: appending to %s: %w", segName(s.activeID), err)
 	}
-	s.activeSize += int64(len(line)) + 1
+	s.activeSize = end
 	s.totalBytes += int64(len(line)) + 1
 	s.appends++
-	s.index(r.Fingerprint, loc{seg: s.activeID, off: off, n: len(line)})
+	s.index(r.Fingerprint, loc{seg: s.activeID, off: end - int64(len(line)) - 1, n: len(line)})
 	return nil
 }
 
-// rotateLocked opens the next numbered segment as the active one.
+// rotateLocked opens the next numbered segment as the active one. It may
+// already exist: another handle on the directory rotated first.
 func (s *Store) rotateLocked() error {
 	id := s.activeID + 1
-	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: rotating to %s: %w", segName(id), err)
 	}
@@ -319,7 +343,7 @@ func (s *Store) Compact() (Stats, error) {
 		return Stats{}, fmt.Errorf("store: closed")
 	}
 	tmpPath := filepath.Join(s.dir, tmpName)
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return Stats{}, fmt.Errorf("store: creating %s: %w", tmpName, err)
 	}
@@ -336,7 +360,7 @@ func (s *Store) Compact() (Stats, error) {
 		if !ok {
 			continue // unreadable entry: drop it from the compacted store
 		}
-		if _, err := tmp.WriteAt(append(line, '\n'), off); err != nil {
+		if _, err := tmp.Write(append(line, '\n')); err != nil {
 			tmp.Close()
 			os.Remove(tmpPath)
 			return Stats{}, fmt.Errorf("store: writing compacted segment: %w", err)
@@ -404,7 +428,7 @@ type Stats struct {
 	LiveBytes  int64 `json:"live_bytes"`
 	TotalBytes int64 `json:"total_bytes"`
 	// DroppedLines counts corrupt lines skipped while loading — the
-	// recovery counter the flat cache kept privately, surfaced.
+	// per-line recovery counter (also what Recovered returns).
 	DroppedLines int `json:"dropped_lines"`
 	// Compactions counts Compact calls on this handle.
 	Compactions int `json:"compactions"`

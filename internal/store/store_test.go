@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -379,4 +380,136 @@ func TestSweepRegistryCorruptSidecarDropped(t *testing.T) {
 	if s.Recovered() == 0 {
 		t.Fatal("corrupt sidecar not counted as recovered garbage")
 	}
+}
+
+// TestTwoHandlesInterleavedPuts is the multi-process contract: two
+// handles on one directory (two paperbench runs sharing a -cache)
+// interleave their appends, each serves its own entries meanwhile, and
+// a reopen indexes all of them. The rotating case has both handles roll
+// into the same next segment.
+func TestTwoHandlesInterleavedPuts(t *testing.T) {
+	for _, segBytes := range []int64{DefaultSegmentBytes, 256} {
+		t.Run(fmt.Sprintf("seg=%d", segBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			a, err := Open(dir, WithSegmentBytes(segBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Open(dir, WithSegmentBytes(segBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles := []*Store{a, b}
+			want := map[string]*runner.Result{}
+			for i := 0; i < 4; i++ {
+				for h, s := range handles {
+					r := fakeResult(fmt.Sprintf("fp-%d-%d", h, i), uint64(10*h+i))
+					want[r.Fingerprint] = r
+					if err := s.Put(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for fp, w := range want {
+				h := int(w.ExecCycles / 10)
+				if got, ok := handles[h].Get(fp); !ok || !reflect.DeepEqual(got, w) {
+					t.Fatalf("handle %d serves %+v for %s", h, got, fp)
+				}
+			}
+			if err := errors.Join(a.Close(), b.Close()); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := Open(dir, WithSegmentBytes(segBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.Len() != len(want) || s.Recovered() != 0 {
+				t.Fatalf("reopen: %d entries, %d dropped lines; want %d, 0", s.Len(), s.Recovered(), len(want))
+			}
+			for fp, w := range want {
+				if got, ok := s.Get(fp); !ok || !reflect.DeepEqual(got, w) {
+					t.Fatalf("entry %s lost after reopen", fp)
+				}
+			}
+		})
+	}
+}
+
+func TestOpenRefusesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if err == nil || !strings.Contains(err.Error(), "not a store directory") {
+		t.Fatalf("Open on a regular file: %v", err)
+	}
+}
+
+// FuzzSegmentRecovery feeds arbitrary bytes to the load path as the only
+// segment. Open must not fail or panic, must account for every byte on
+// disk, every indexed fingerprint must read back as itself, and an
+// append after whatever tail the bytes left must survive a reopen
+// alongside every fingerprint indexed before it. (Not necessarily with
+// the same line: sealing appends a newline after a torn tail rather than
+// cutting it, since it may be another process's append in flight, so a
+// tail that is a whole line bar its newline is indexed on the next Open.)
+func FuzzSegmentRecovery(f *testing.F) {
+	line := func(fp string, cycles uint64) string {
+		b, err := json.Marshal(fakeResult(fp, cycles))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	f.Add([]byte(line("fp-a", 1) + line("fp-b", 2)[:20]))                      // torn tail
+	f.Add([]byte(line("fp-a", 1) + "\x00\x01 not json\n" + line("fp-b", 2)))   // garbage line
+	f.Add([]byte(line("fp-a", 1) + line("fp-a", 2) + line("fp-b", 3)))         // duplicate fingerprint
+	f.Add([]byte(line("fp-a", 1) + strings.TrimSuffix(line("fp-a", 2), "\n"))) // whole line, newline lost
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || s.Stats().TotalBytes != fi.Size() {
+			t.Fatalf("TotalBytes %d does not account for the segment on disk (%v, %v)", s.Stats().TotalBytes, fi, err)
+		}
+		intact := func(s *Store, fp string) *runner.Result {
+			got, ok := s.Get(fp)
+			if !ok || got.Fingerprint != fp {
+				t.Fatalf("indexed fingerprint %q reads back as %+v", fp, got)
+			}
+			return got
+		}
+		var before []string
+		for fp := range s.idx {
+			intact(s, fp)
+			before = append(before, fp)
+		}
+		probe := fakeResult("fuzz-probe", 7)
+		if err := s.Put(probe); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if got := intact(s2, probe.Fingerprint); !reflect.DeepEqual(got, probe) {
+			t.Fatalf("append after the loaded tail lost: %+v", got)
+		}
+		for _, fp := range before {
+			intact(s2, fp)
+		}
+	})
 }
