@@ -50,8 +50,8 @@ func BenchmarkTable2MissClassification(b *testing.B) {
 		e := evaluator(b)
 		for _, app := range benchApps {
 			r := e.Get("default", app, "erc")
-			if r.VerifyErr != nil {
-				b.Fatal(r.VerifyErr)
+			if err := r.Err(); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportMetric(100*r.MissShares[lazyrc.FalseShare], app+"_false_pct")
 			b.ReportMetric(100*r.MissShares[lazyrc.Eviction], app+"_evict_pct")

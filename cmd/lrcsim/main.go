@@ -202,7 +202,6 @@ func main() {
 		m.EnableSpans(true, *spansMax)
 	}
 	if *perfFlag {
-		// After EnableSpans, so span bookkeeping lands in the causal phase.
 		m.EnablePerf()
 	}
 	if *progress > 0 {
@@ -377,13 +376,11 @@ func compareProtocols(spec, appName string, sc lazyrc.Scale, procs int, future b
 		}
 		cfg.Seed = seed
 		m, err := lazyrc.RunApp(cfg, p, app)
-		if err != nil {
+		if m == nil {
 			log.Fatalf("%s: %v", p, err)
 		}
-		if verify {
-			if verr := app.Verify(); verr != nil {
-				log.Fatalf("%s: verification failed: %v", p, verr)
-			}
+		if err != nil && verify {
+			log.Fatalf("%s: verification failed: %v", p, err)
 		}
 		r := row{proto: p, time: m.Stats.ExecutionTime(), missRate: m.Stats.MissRate()}
 		r.cpu, r.rd, r.wr, r.sy = m.Stats.Aggregate()
@@ -421,11 +418,11 @@ func runOracle(cfg lazyrc.Config, proto, appName string, sc lazyrc.Scale, faulte
 	}
 	cfg.FaultPlan = ""
 	rm, err := lazyrc.RunApp(cfg, proto, ref)
-	if err != nil {
+	if rm == nil {
 		log.Fatal(err)
 	}
-	if verr := ref.Verify(); verr != nil {
-		log.Fatalf("oracle: fault-free reference failed verification: %v", verr)
+	if err != nil {
+		log.Fatalf("oracle: fault-free reference failed verification: %v", err)
 	}
 	if !rm.Completed() {
 		log.Fatal("oracle: fault-free reference did not complete")

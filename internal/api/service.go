@@ -462,13 +462,8 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, spec exp.Spec) {
 		e.Get(c[0], c[1], c[2])
 	}
 
-	var firstFail error
+	firstFail := e.VerifyAll()
 	canceled := ctx.Err() != nil
-	for _, r := range e.Runs() {
-		if r.VerifyErr != nil && firstFail == nil {
-			firstFail = fmt.Errorf("%s/%s/%s: %w", r.Config, r.App, r.Proto, r.VerifyErr)
-		}
-	}
 
 	// Render both report forms now, while the evaluator is hot: clients
 	// fetch bytes, never recompute. The stable form drops the runner's
@@ -607,8 +602,9 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 	return b, nil
 }
 
-// materializeJob turns a wire job request into a runner job, using the
-// exact configuration path sweep cells use so fingerprints coincide.
+// materializeJob turns a wire job request into a runner job through
+// Evaluator.Job, the configuration path sweep cells use, so a direct job
+// and the matching sweep cell share one fingerprint.
 func materializeJob(req JobRequest) (runner.Job, error) {
 	scaleName := req.Scale
 	if scaleName == "" {
@@ -625,16 +621,16 @@ func materializeJob(req JobRequest) (runner.Job, error) {
 	if procs == 0 {
 		procs = 64
 	}
-	cfg, err := config.Preset(req.Preset, procs)
-	if err != nil {
+	if _, err := config.Preset(req.Preset, procs); err != nil {
 		return runner.Job{}, err
 	}
-	cfg.CacheSize = exp.CacheForScale(scale)
-	cfg.Seed = req.Seed
-	if err := cfg.Validate(); err != nil {
+	e := exp.NewEvaluator(scale, procs)
+	e.Seed = req.Seed
+	job := e.Job(req.Preset, req.App, req.Proto)
+	if err := job.Cfg.Validate(); err != nil {
 		return runner.Job{}, err
 	}
-	return runner.Job{App: req.App, Scale: scale, Proto: req.Proto, Cfg: cfg}, nil
+	return job, nil
 }
 
 // SubmitJob registers one job for execution and returns its status.

@@ -135,3 +135,46 @@ func TestStoreWarmedByEvaluatorServesDaemon(t *testing.T) {
 		t.Fatalf("daemon sweep over a paperbench-warmed store: %+v", got)
 	}
 }
+
+// TestSweepCountersIgnoreDaemonHistory: a cell an earlier direct job
+// pulled from the store into the runner memo still counts as from_cache
+// in a later sweep, so the same sweep over the same store reports the
+// same counters whatever the daemon served before it.
+func TestSweepCountersIgnoreDaemonHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exp.NewEvaluatorWith(apps.Tiny, 4, runner.New(2, st))
+	e.Seed = 1
+	e.Prefetch(exp.TargetCells([]string{"fig4"}))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	svc := NewService(2, st2, nil)
+	defer svc.Close(ctx)
+	js, _, err := svc.SubmitJob(ctx, JobRequest{App: "gauss", Scale: "tiny", Proto: "lrc", Procs: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := svc.JobDone(js.FP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	got := waitSweep(t, svc, exp.Spec{Targets: []string{"fig4"}, Apps: []string{"gauss"}, Scale: "tiny", Procs: 4, Seed: 1})
+	if got.FromCache != got.Jobs || got.Deduped != 0 || got.Executed != 0 {
+		t.Fatalf("sweep after a direct job on a warm store: %+v", got)
+	}
+}

@@ -163,11 +163,11 @@ func TestAnalyzeCoverage(t *testing.T) {
 	// queueing, memory, net reply — stall covers it all plus slack.
 	tid := tr.BeginTxn(0, 0x100, 100)
 	sid := tr.BeginStall(0, tid, StallRead, "read fill", 100)
-	tr.Net(tid, 0, 3, 1, 0x100, 100, 120, 4, 2)       // port 100-104, wire 104-118, port 118-120
-	tr.Service(KindDir, 3, 0x100, 120, 130, 140)      // queue 120-130, service 130-140
-	tr.Service(KindMem, 3, 0x100, 140, 140, 180)      // pure service
-	tr.Net(tid, 3, 0, 2, 0x100, 180, 200, 0, 0)       // wire only
-	tr.EndStall(sid, 210)                             // 10 uncovered cycles at the tail
+	tr.Net(tid, 0, 3, 1, 0x100, 100, 120, 4, 2)  // port 100-104, wire 104-118, port 118-120
+	tr.Service(KindDir, 3, 0x100, 120, 130, 140) // queue 120-130, service 130-140
+	tr.Service(KindMem, 3, 0x100, 140, 140, 180) // pure service
+	tr.Net(tid, 3, 0, 2, 0x100, 180, 200, 0, 0)  // wire only
+	tr.EndStall(sid, 210)                        // 10 uncovered cycles at the tail
 	tr.EndTxn(tid, 210)
 
 	a := Analyze(tr)
@@ -183,9 +183,9 @@ func TestAnalyzeCoverage(t *testing.T) {
 			t.Errorf("%s: attributed %d, want %d", c, got, want)
 		}
 	}
-	check(CauseNetPort, 6)    // 4 out + 2 in on the request
-	check(CauseNet, 34)       // 14 request wire + 20 reply wire
-	check(CauseDirQueue, 10)  // 120-130
+	check(CauseNetPort, 6)   // 4 out + 2 in on the request
+	check(CauseNet, 34)      // 14 request wire + 20 reply wire
+	check(CauseDirQueue, 10) // 120-130
 	check(CauseDirService, 10)
 	check(CauseMem, 40)
 	check(CauseOther, 10) // uncovered tail
@@ -250,8 +250,8 @@ func TestTopNOrdering(t *testing.T) {
 		sid := tr.BeginStall(0, 0, StallRead, "read fill", begin)
 		tr.EndStall(sid, end)
 	}
-	mk(10, 30)  // 20
-	mk(50, 100) // 50
+	mk(10, 30)   // 20
+	mk(50, 100)  // 50
 	mk(200, 220) // 20, later begin
 	a := Analyze(tr)
 	top := a.TopN(2)
@@ -296,9 +296,9 @@ func TestPerfettoRoundTrip(t *testing.T) {
 func TestValidateTraceRejectsGarbage(t *testing.T) {
 	cases := []string{
 		`{}`,
-		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,      // no name
-		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`,   // bad phase
-		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`,   // async without id
+		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,    // no name
+		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`, // bad phase
+		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`, // async without id
 		`not json`,
 	}
 	for _, c := range cases {

@@ -26,9 +26,6 @@ type Ablation struct {
 	Points []int
 	Mut    func(*config.Config, int)
 	Label  func(int) string
-	// Metric extracts the reported quantity from a run.
-	Metric func(*Run) float64
-	Unit   string
 }
 
 // LazierUnderSoftwareCoherence reproduces the paper's DSM-vs-hardware
@@ -81,7 +78,6 @@ func firstErr(results ...*runner.Result) error {
 
 // Ablations returns the ablation suite.
 func Ablations() []Ablation {
-	execTime := func(r *Run) float64 { return float64(r.ExecTime) }
 	return []Ablation{
 		{
 			Name:   "coalescing buffer depth (lazy write-through traffic control)",
@@ -90,8 +86,6 @@ func Ablations() []Ablation {
 			Points: []int{1, 4, 16, 64},
 			Mut:    func(c *config.Config, v int) { c.CBEntries = v },
 			Label:  func(v int) string { return fmt.Sprintf("%d entries", v) },
-			Metric: execTime,
-			Unit:   "cycles",
 		},
 		{
 			Name:   "write buffer depth (eager write latency masking)",
@@ -100,8 +94,6 @@ func Ablations() []Ablation {
 			Points: []int{1, 2, 4, 8},
 			Mut:    func(c *config.Config, v int) { c.WBEntries = v },
 			Label:  func(v int) string { return fmt.Sprintf("%d entries", v) },
-			Metric: execTime,
-			Unit:   "cycles",
 		},
 		{
 			Name:   "lazy directory access cost (claim: hidden behind memory)",
@@ -110,8 +102,6 @@ func Ablations() []Ablation {
 			Points: []int{15, 25, 50, 100},
 			Mut:    func(c *config.Config, v int) { c.DirCostLRC = uint64(v) },
 			Label:  func(v int) string { return fmt.Sprintf("%d cycles", v) },
-			Metric: execTime,
-			Unit:   "cycles",
 		},
 		{
 			Name:   "page placement (0 = interleaved, 1 = first touch)",
@@ -125,8 +115,6 @@ func Ablations() []Ablation {
 				}
 				return "first touch"
 			},
-			Metric: execTime,
-			Unit:   "cycles",
 		},
 		{
 			Name:   "acquire-time invalidation overlap (0 = overlapped, 1 = serialized)",
@@ -140,14 +128,12 @@ func Ablations() []Ablation {
 				}
 				return "after grant"
 			},
-			Metric: execTime,
-			Unit:   "cycles",
 		},
 	}
 }
 
 // RunAblation executes one ablation sweep — all points concurrently on
-// the runner's pool — and renders it.
+// the runner's pool — and renders each point's execution time.
 func RunAblation(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs int, ab Ablation) string {
 	jobs := make([]runner.Job, len(ab.Points))
 	for i, v := range ab.Points {
@@ -168,14 +154,14 @@ func RunAblation(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs
 			fmt.Fprintf(&b, "  %-14s failed: %v\n", ab.Label(v), err)
 			continue
 		}
-		val := ab.Metric(runFromResult(res, "ablation"))
+		val := float64(res.ExecCycles)
 		rel := ""
 		if base < 0 {
 			base = val
 		} else if base > 0 {
 			rel = fmt.Sprintf("  (%+.1f%%)", 100*(val/base-1))
 		}
-		fmt.Fprintf(&b, "  %-14s %14.0f %s%s\n", ab.Label(v), val, ab.Unit, rel)
+		fmt.Fprintf(&b, "  %-14s %14.0f cycles%s\n", ab.Label(v), val, rel)
 	}
 	return b.String()
 }

@@ -43,14 +43,11 @@ func CriticalPath(scale apps.Scale, procs int, seed uint64, appNames []string) s
 			if err != nil {
 				panic(fmt.Sprintf("critical-path: %v", err))
 			}
-			m, err := machine.New(cfg, proto)
-			if err != nil {
+			m, err := apps.RunWith(cfg, proto, app, func(m *machine.Machine) { m.EnableSpans(true, 0) })
+			if m == nil {
 				panic(fmt.Sprintf("critical-path: %v", err))
 			}
-			m.EnableSpans(true, 0)
-			app.Setup(m)
-			m.Run(app.Worker)
-			if err := app.Verify(); err != nil {
+			if err != nil {
 				panic(fmt.Sprintf("critical-path: %s/%s failed verification: %v", appName, proto, err))
 			}
 			a := causal.Analyze(m.Causal)

@@ -14,26 +14,10 @@ import (
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
-	"lazyrc/internal/stats"
 )
 
 // AppOrder lists the applications in the paper's table order.
 var AppOrder = []string{"barnes-hut", "blu", "cholesky", "fft", "gauss", "locusroute", "mp3d"}
-
-// Run captures one (application, protocol, configuration) execution.
-type Run struct {
-	App, Proto, Config string
-
-	ExecTime               uint64
-	CPU, Read, Write, Sync uint64 // aggregate cycles across processors
-	MissRate               float64
-	MissShares             [stats.NumMissKinds]float64
-	Msgs, Bytes            uint64
-	MetricsDigest          string
-	Spans                  uint64
-	SpanDigest             string
-	VerifyErr              error
-}
 
 // Evaluator runs and memoizes experiments at one scale and machine size.
 // Execution is delegated to a runner.Runner, which deduplicates cells
@@ -57,7 +41,8 @@ type Evaluator struct {
 	// cancelled sweep stops simulating promptly. Nil means Background.
 	Ctx context.Context
 
-	runs map[string]*Run
+	// runs memoizes the runner's results, keyed "config/app/proto".
+	runs map[string]*runner.Result
 }
 
 // NewEvaluator returns an evaluator for the given scale and machine size
@@ -70,7 +55,7 @@ func NewEvaluator(scale apps.Scale, procs int) *Evaluator {
 // NewEvaluatorWith returns an evaluator that executes through the given
 // runner (nil behaves like NewEvaluator).
 func NewEvaluatorWith(scale apps.Scale, procs int, r *runner.Runner) *Evaluator {
-	return &Evaluator{Scale: scale, Procs: procs, R: r, runs: make(map[string]*Run)}
+	return &Evaluator{Scale: scale, Procs: procs, R: r, runs: make(map[string]*runner.Result)}
 }
 
 // engine returns the evaluator's runner, creating a serial one on first
@@ -130,36 +115,15 @@ func (e *Evaluator) Job(cfgName, appName, proto string) runner.Job {
 // Get runs (or recalls) one experiment cell. The runner deduplicates by
 // content fingerprint, so a cell already simulated by Prefetch — or by a
 // previous process sharing the result store — is served without
-// re-simulation. A crashed run surfaces as a Run whose VerifyErr carries
+// re-simulation. A crashed run surfaces as a result whose Err carries
 // the failure, not as a panic of the whole evaluation.
-func (e *Evaluator) Get(cfgName, appName, proto string) *Run {
+func (e *Evaluator) Get(cfgName, appName, proto string) *runner.Result {
 	key := cfgName + "/" + appName + "/" + proto
 	if r, ok := e.runs[key]; ok {
 		return r
 	}
-	res := e.engine().Do(e.ctx(), e.Job(cfgName, appName, proto))
-	r := runFromResult(res, cfgName)
+	r := e.engine().Do(e.ctx(), e.Job(cfgName, appName, proto))
 	e.runs[key] = r
-	return r
-}
-
-// runFromResult converts a runner result into the evaluator's Run form.
-func runFromResult(res *runner.Result, cfgName string) *Run {
-	r := &Run{
-		App: res.App, Proto: res.Proto, Config: cfgName,
-		ExecTime: res.ExecCycles,
-		CPU:      res.CPUCycles, Read: res.ReadCycles,
-		Write: res.WriteCycles, Sync: res.SyncCycles,
-		MissRate:   res.MissRate,
-		MissShares: res.MissShares,
-		Msgs:       res.Msgs, Bytes: res.Bytes,
-		MetricsDigest: res.MetricsDigest,
-		Spans:         res.Spans,
-		SpanDigest:    res.SpanDigest,
-	}
-	if err := res.Err(); err != nil {
-		r.VerifyErr = err
-	}
 	return r
 }
 
@@ -175,18 +139,14 @@ func (e *Evaluator) Prefetch(cells [][3]string) {
 	e.engine().DoAll(e.ctx(), jobs)
 }
 
-// Runs returns all memoized runs, sorted by key (for reports).
-func (e *Evaluator) Runs() []*Run {
+// cells returns the keys of all memoized cells, sorted (for reports).
+func (e *Evaluator) cells() []string {
 	keys := make([]string, 0, len(e.runs))
 	for k := range e.runs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]*Run, len(keys))
-	for i, k := range keys {
-		out[i] = e.runs[k]
-	}
-	return out
+	return keys
 }
 
 // Normalized returns the run's execution time normalized to the
@@ -195,10 +155,10 @@ func (e *Evaluator) Runs() []*Run {
 func (e *Evaluator) Normalized(cfgName, appName, proto string) float64 {
 	sc := e.Get(cfgName, appName, "sc")
 	r := e.Get(cfgName, appName, proto)
-	if sc.ExecTime == 0 {
+	if sc.ExecCycles == 0 {
 		return 0
 	}
-	return float64(r.ExecTime) / float64(sc.ExecTime)
+	return float64(r.ExecCycles) / float64(sc.ExecCycles)
 }
 
 // OverheadShares returns the run's aggregate cpu/read/write/sync cycles
@@ -206,21 +166,21 @@ func (e *Evaluator) Normalized(cfgName, appName, proto string) float64 {
 // of Figures 5, 7 and 9).
 func (e *Evaluator) OverheadShares(cfgName, appName, proto string) (cpu, read, write, sync float64) {
 	sc := e.Get(cfgName, appName, "sc")
-	total := float64(sc.CPU + sc.Read + sc.Write + sc.Sync)
+	total := float64(sc.CPUCycles + sc.ReadCycles + sc.WriteCycles + sc.SyncCycles)
 	if total == 0 {
 		return
 	}
 	r := e.Get(cfgName, appName, proto)
-	return float64(r.CPU) / total, float64(r.Read) / total,
-		float64(r.Write) / total, float64(r.Sync) / total
+	return float64(r.CPUCycles) / total, float64(r.ReadCycles) / total,
+		float64(r.WriteCycles) / total, float64(r.SyncCycles) / total
 }
 
 // VerifyAll re-checks that every memoized run verified; the first failure
-// is returned.
+// in key order is returned.
 func (e *Evaluator) VerifyAll() error {
-	for _, r := range e.Runs() {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s/%s/%s: %w", r.Config, r.App, r.Proto, r.VerifyErr)
+	for _, k := range e.cells() {
+		if err := e.runs[k].Err(); err != nil {
+			return fmt.Errorf("%s: %w", k, err)
 		}
 	}
 	return nil

@@ -21,11 +21,11 @@ func TestEvaluatorMemoizes(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("identical cell re-ran instead of memoizing")
 	}
-	if r1.ExecTime == 0 {
+	if r1.ExecCycles == 0 {
 		t.Fatal("zero execution time")
 	}
-	if len(e.Runs()) != 1 {
-		t.Fatalf("runs = %d, want 1", len(e.Runs()))
+	if len(e.cells()) != 1 {
+		t.Fatalf("runs = %d, want 1", len(e.cells()))
 	}
 	if err := e.VerifyAll(); err != nil {
 		t.Fatal(err)

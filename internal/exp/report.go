@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"lazyrc/internal/runner"
 	"lazyrc/internal/stats"
@@ -77,34 +78,37 @@ func (e *Evaluator) Report() Report {
 		meta := e.R.Meta()
 		rep.Runner = &meta
 	}
-	for _, r := range e.Runs() {
+	for _, key := range e.cells() {
+		r := e.runs[key]
+		cfgName, _, _ := strings.Cut(key, "/")
 		rr := ReportRun{
-			Config:     r.Config,
-			App:        r.App,
-			Protocol:   r.Proto,
-			ExecCycles: r.ExecTime,
-			CPUCycles:  r.CPU, ReadCycles: r.Read,
-			WriteCycles: r.Write, SyncCycles: r.Sync,
-			MissRatePct:  100 * r.MissRate,
-			NetworkMsgs:  r.Msgs,
-			NetworkBytes: r.Bytes,
+			Config:        cfgName,
+			App:           r.App,
+			Protocol:      r.Proto,
+			ExecCycles:    r.ExecCycles,
+			CPUCycles:     r.CPUCycles,
+			ReadCycles:    r.ReadCycles,
+			WriteCycles:   r.WriteCycles,
+			SyncCycles:    r.SyncCycles,
+			MissRatePct:   100 * r.MissRate,
+			MissShares:    map[string]float64{},
+			NetworkMsgs:   r.Msgs,
+			NetworkBytes:  r.Bytes,
 			MetricsDigest: r.MetricsDigest,
 			Spans:         r.Spans,
 			SpanDigest:    r.SpanDigest,
-			Verified:     r.VerifyErr == nil,
-			MissShares:   map[string]float64{},
+			Verified:      true,
 		}
-		if r.VerifyErr != nil {
-			rr.Error = r.VerifyErr.Error()
+		if err := r.Err(); err != nil {
+			rr.Verified, rr.Error = false, err.Error()
 		}
 		for k := stats.MissKind(0); k < stats.NumMissKinds; k++ {
 			rr.MissShares[k.String()] = 100 * r.MissShares[k]
 		}
 		// Attach the normalized time when the SC baseline is memoized
 		// (without forcing new runs).
-		scKey := r.Config + "/" + r.App + "/sc"
-		if sc, ok := e.runs[scKey]; ok && sc.ExecTime > 0 {
-			rr.Normalized = float64(r.ExecTime) / float64(sc.ExecTime)
+		if sc, ok := e.runs[cfgName+"/"+r.App+"/sc"]; ok && sc.ExecCycles > 0 {
+			rr.Normalized = float64(r.ExecCycles) / float64(sc.ExecCycles)
 		}
 		rep.Runs = append(rep.Runs, rr)
 	}

@@ -150,8 +150,8 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	// Self-rescheduling background tick: background events never keep the
 	// simulation alive, so the tick dies with the last regular event and
 	// Run takes the closing sample. Sampling wall time is charged to the
-	// telemetry perf phase (m.Perf reads the profiler set by a later
-	// EnablePerf; nil stays a no-op).
+	// telemetry perf phase (m.Perf is read at each tick, so EnablePerf
+	// may come before or after this call; nil stays a no-op).
 	var tick func()
 	tick = func() {
 		prev := m.Perf.Enter(perf.PhaseTelemetry)

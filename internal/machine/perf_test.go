@@ -96,3 +96,28 @@ func TestPerfProfileIsPopulated(t *testing.T) {
 		}
 	}
 }
+
+// TestPerfBeforeSpansChargesCausal: the enable calls may run in any
+// order. A profiler attached before the span tracer must still be wired
+// into it, so span bookkeeping lands in the causal phase rather than in
+// whatever phase was open around it.
+func TestPerfBeforeSpansChargesCausal(t *testing.T) {
+	m, err := machine.New(config.Default(8), "lrc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnablePerf()
+	m.EnableSpans(true, 0)
+	app := apps.NewGauss(apps.Tiny)
+	app.Setup(m)
+	m.Run(app.Worker)
+	if err := app.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Causal.Count() == 0 {
+		t.Fatal("run recorded no spans")
+	}
+	if ns := m.Perf.Snapshot().Phases["causal"]; ns <= 0 {
+		t.Fatalf("span bookkeeping not charged to the causal phase (%d ns)", ns)
+	}
+}

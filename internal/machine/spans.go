@@ -6,10 +6,12 @@ import (
 )
 
 // EnableSpans attaches a causal span tracer to the machine. It must be
-// called before Run. Like telemetry, tracing is strictly passive: the
-// tracer only reads cycle stamps the timing model already computed, so
-// enabling it leaves every simulated cycle, message, and stat
-// bit-identical to an untraced run (pinned by TestSpansArePassive).
+// called before Run; a profiler already attached by EnablePerf is wired
+// into the new tracer, so the two may be enabled in either order. Like
+// telemetry, tracing is strictly passive: the tracer only reads cycle
+// stamps the timing model already computed, so enabling it leaves every
+// simulated cycle, message, and stat bit-identical to an untraced run
+// (pinned by TestSpansArePassive).
 //
 // Wired here:
 //
@@ -37,6 +39,7 @@ func (m *Machine) EnableSpans(retain bool, limit int) *causal.Tracer {
 	m.Eng.SetTaskTracer(tr)
 	m.Net.SetCausal(tr)
 	m.Env.Causal = tr
+	tr.SetProfiler(m.Perf)
 	return tr
 }
 

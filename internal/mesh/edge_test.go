@@ -65,10 +65,8 @@ func TestTransferCyclesEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSelfSendLoopback pins both self-send modes: without LocalLoopback a
-// node-local message is delivered instantly and pays no port occupancy;
-// with it, the message pays NIC serialization like remote traffic (zero
-// hops, so only streaming time).
+// TestSelfSendLoopback pins self-send delivery: a node-local message is
+// delivered instantly and pays no port occupancy.
 func TestSelfSendLoopback(t *testing.T) {
 	t.Run("off", func(t *testing.T) {
 		eng := sim.NewEngine()
@@ -82,21 +80,6 @@ func TestSelfSendLoopback(t *testing.T) {
 		}
 		if n.PortBusy(3) != 0 {
 			t.Fatalf("local delivery occupied NIC ports for %d cycles, want 0", n.PortBusy(3))
-		}
-	})
-	t.Run("on", func(t *testing.T) {
-		eng := sim.NewEngine()
-		n := New(eng, config.Default(8))
-		n.LocalLoopback = true
-		var at sim.Time
-		n.Handle(3, func(Msg) { at = eng.Now() })
-		eng.At(50, func() { n.Send(Msg{Src: 3, Dst: 3, Size: 128}) })
-		eng.Run()
-		if at != 50+64 { // 0 hops, 128 bytes at 2 B/cycle
-			t.Fatalf("loopback delivery at %d, want %d", at, 50+64)
-		}
-		if n.PortBusy(3) == 0 {
-			t.Fatal("loopback delivery did not occupy NIC ports")
 		}
 	})
 }
@@ -127,18 +110,19 @@ func TestFinalizeReportsAllUnhandledNodes(t *testing.T) {
 	}
 }
 
-// TestInjectedDuplicateSharesTID verifies duplicates carry the original's
-// transaction id and arrive later.
-func TestInjectedDuplicateSharesTID(t *testing.T) {
+// TestInjectedDuplicateSharesSeq verifies duplicates carry the original's
+// channel identity (src, Seq) and arrive later.
+func TestInjectedDuplicateSharesSeq(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, config.Default(8))
 	type arrival struct {
-		tid uint64
+		src int
+		seq uint64
 		at  sim.Time
 	}
 	var got []arrival
 	for i := range 8 {
-		n.Handle(i, func(m Msg) { got = append(got, arrival{m.TID, eng.Now()}) })
+		n.Handle(i, func(m Msg) { got = append(got, arrival{m.Src, m.Seq, eng.Now()}) })
 	}
 	// dup=1 duplicates every message deterministically.
 	plan, err := faults.ParsePlan("dup=1:16")
@@ -153,8 +137,9 @@ func TestInjectedDuplicateSharesTID(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("%d deliveries, want original + duplicate", len(got))
 	}
-	if got[0].tid == 0 || got[0].tid != got[1].tid {
-		t.Fatalf("duplicate TID %d != original TID %d (or unstamped)", got[1].tid, got[0].tid)
+	if got[0].seq == 0 || got[0].src != got[1].src || got[0].seq != got[1].seq {
+		t.Fatalf("duplicate (src %d, seq %d) != original (src %d, seq %d) (or unstamped)",
+			got[1].src, got[1].seq, got[0].src, got[0].seq)
 	}
 	if got[1].at <= got[0].at {
 		t.Fatalf("duplicate at %d not after original at %d", got[1].at, got[0].at)

@@ -19,7 +19,7 @@ import (
 // delivery is one observed handler invocation.
 type delivery struct {
 	src, seq int
-	tid      uint64
+	wireSeq  uint64 // transport sequence number (0 when unstamped)
 }
 
 // fifoWorkload drives a burst-heavy traffic pattern over every ordered
@@ -30,7 +30,7 @@ func fifoWorkload(eng *sim.Engine, n *Network, procs int) [][]delivery {
 	for id := 0; id < procs; id++ {
 		id := id
 		n.Handle(id, func(m Msg) {
-			got[id] = append(got[id], delivery{src: m.Src, seq: int(m.Arg), tid: m.TID})
+			got[id] = append(got[id], delivery{src: m.Src, seq: int(m.Arg), wireSeq: m.Seq})
 		})
 	}
 	sizes := []int{0, 0, 32, 128}
@@ -60,18 +60,23 @@ func fifoWorkload(eng *sim.Engine, n *Network, procs int) [][]delivery {
 }
 
 // checkPairFIFO asserts that, per (src, dst) pair, first deliveries (the
-// injector may duplicate; receivers deduplicate on TID) arrive in send
+// injector may duplicate; receivers deduplicate on (src, Seq)) arrive in send
 // order with none missing.
 func checkPairFIFO(t *testing.T, got [][]delivery, procs int, label string) {
 	t.Helper()
 	for dst := range got {
 		next := make([]int, procs) // expected seq per source
-		seen := map[uint64]bool{}
+		type chanSeq struct {
+			src int
+			seq uint64
+		}
+		seen := map[chanSeq]bool{}
 		for _, d := range got[dst] {
-			if d.tid != 0 && seen[d.tid] {
+			id := chanSeq{d.src, d.wireSeq}
+			if d.wireSeq != 0 && seen[id] {
 				continue // injected duplicate
 			}
-			seen[d.tid] = true
+			seen[id] = true
 			if d.seq != next[d.src] {
 				t.Fatalf("%s: dst %d got seq %d from src %d, want %d — per-(src,dst) FIFO violated",
 					label, dst, d.seq, d.src, next[d.src])

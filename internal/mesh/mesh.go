@@ -41,14 +41,13 @@ type Network struct {
 	byKind    map[int]uint64
 
 	// Fault injection (nil = reliable fabric, the default). When an
-	// injector is attached every message is stamped with a transaction id
-	// and a per-channel sequence number, the reliable-delivery transport
+	// injector is attached every message is stamped with a per-channel
+	// sequence number, the reliable-delivery transport
 	// (tr, see transport.go) retransmits losses end-to-end, and lastEntry
 	// serializes per-(src,dst) network entry so injected reordering never
 	// violates the pairwise FIFO guarantee the protocols assume.
 	inj       *faults.Injector
 	tr        *transport
-	nextTID   uint64
 	lastEntry []sim.Time // nprocs*nprocs, indexed src*nprocs+dst
 
 	injReordered, injDelayed, injDuped, injDropped uint64
@@ -65,11 +64,6 @@ type Network struct {
 	// order-independent digest over messages sent but not yet delivered,
 	// folded into machine state hashes for visited-state dedup.
 	flightSum, flightXor, flightN uint64
-
-	// LocalLoopback controls whether a node sending to itself still
-	// pays NIC and hop costs. Hardware handles node-local protocol
-	// operations without touching the network; keep false.
-	LocalLoopback bool
 
 	// Trace, when non-nil, observes every message at send time —
 	// debugging and the protocolwalk example.
@@ -111,22 +105,17 @@ type Msg struct {
 	// tracker can follow which write's data each copy actually holds.
 	Vals []uint64
 
-	// TID is the network-assigned transaction id, stamped only when fault
-	// injection is active (0 otherwise). An injected duplicate carries its
-	// original's TID.
-	TID uint64
-
 	// Seq is the reliable-transport sequence number on the message's
 	// (src,dst) channel, stamped (1-based) only when fault injection is
 	// active; retransmissions and injected duplicates carry the
 	// original's Seq, and receivers run stamped messages through a
-	// Sequencer for exactly-once in-order delivery. Like TID it depends
-	// on dynamic send order, so it is excluded from msgHash.
+	// Sequencer for exactly-once in-order delivery. It depends on
+	// dynamic send order, so it is excluded from msgHash.
 	Seq uint64
 
 	// CT is the causal transaction id threaded through the message,
 	// stamped at Send from the tracer's current context when causal
-	// tracing is enabled (0 otherwise). Like TID it depends on dynamic
+	// tracing is enabled (0 otherwise). Like Seq it depends on dynamic
 	// send order, so it is excluded from msgHash.
 	CT uint64
 }
@@ -273,8 +262,7 @@ func (n *Network) TransferCycles(size int) uint64 {
 // port, applies hop latency and payload streaming time, acquires the
 // receiver's input port, and schedules the destination's handler at the
 // delivery time. Node-local messages invoke the handler immediately
-// (hardware keeps local protocol transitions off the network) unless
-// LocalLoopback is set.
+// (hardware keeps local protocol transitions off the network).
 func (n *Network) Send(m Msg) {
 	if n.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("mesh: no handler on node %d (Network.Finalize not called or node never registered)", m.Dst))
@@ -284,7 +272,7 @@ func (n *Network) Send(m Msg) {
 	if n.causal != nil {
 		m.CT = n.causal.Current()
 	}
-	if m.Src == m.Dst && !n.LocalLoopback {
+	if m.Src == m.Dst {
 		// Node-local protocol transitions never touch the network and are
 		// subject to neither injection nor exploration.
 		n.transmit(m, 0)
@@ -323,11 +311,9 @@ func (n *Network) Send(m Msg) {
 		n.transmit(m, 0)
 		return
 	}
-	// Stamp identity once — the transaction id and the channel sequence
-	// number — then enter the ledger and dispatch through the injector.
-	// Retransmissions re-enter via dispatch with the same stamps.
-	n.nextTID++
-	m.TID = n.nextTID
+	// Stamp the channel sequence number once, then enter the ledger and
+	// dispatch through the injector. Retransmissions re-enter via
+	// dispatch with the same stamp.
 	pair := m.Src*n.nprocs + m.Dst
 	n.tr.seq[pair]++
 	m.Seq = n.tr.seq[pair]
@@ -402,7 +388,7 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	if n.Trace != nil {
 		n.Trace(m)
 	}
-	if m.Src == m.Dst && !n.LocalLoopback {
+	if m.Src == m.Dst {
 		n.flightAdd(m)
 		n.eng.At(n.eng.Now(), func() {
 			p := n.prof.Enter(perf.PhaseMesh)
@@ -440,7 +426,7 @@ func (n *Network) transmit(m Msg, extra uint64) {
 }
 
 // msgHash is an FNV-1a fingerprint of a message's protocol-visible
-// content (not its TID, which depends on send order alone).
+// content (not its Seq or CT, which depend on send order alone).
 func msgHash(m Msg) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {

@@ -147,11 +147,11 @@ func TestSequencerRestoresFIFO(t *testing.T) {
 	deliver := func(m Msg) { got = append(got, m.Seq) }
 	msg := func(src int, seq uint64) Msg { return Msg{Src: src, Seq: seq} }
 
-	s.Admit(msg(0, 1), deliver) // in order
-	s.Admit(msg(0, 3), deliver) // early: parked
-	s.Admit(msg(0, 3), deliver) // duplicate of a parked message
-	s.Admit(msg(0, 2), deliver) // fills the gap, drains 3
-	s.Admit(msg(0, 2), deliver) // late duplicate
+	s.Admit(msg(0, 1), deliver)           // in order
+	s.Admit(msg(0, 3), deliver)           // early: parked
+	s.Admit(msg(0, 3), deliver)           // duplicate of a parked message
+	s.Admit(msg(0, 2), deliver)           // fills the gap, drains 3
+	s.Admit(msg(0, 2), deliver)           // late duplicate
 	s.Admit(Msg{Src: 0, Seq: 0}, deliver) // unstamped: passes through
 	want := []uint64{1, 2, 3, 0}
 	if len(got) != len(want) {

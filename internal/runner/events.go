@@ -13,17 +13,19 @@ type EventKind string
 
 // The job lifecycle state machine:
 //
-//	queued ──┬─(identical job already done or in flight)──► dedup
-//	         ├─(result found in the store)────────────────► cached
-//	         └─(worker slot acquired)─────────────────────► running
-//	running ──(heartbeat every HeartbeatEvery cycles)─────► running
-//	running ──┬────────────────────────────────────────────► done
-//	          ├─(panic / construction error)───────────────► failed
-//	          └─(submission context canceled)──────────────► canceled
+//	queued ──┬─(identical job's simulated result memoized)──► dedup
+//	         ├─(result found in the store or memoized from it)► cached
+//	         └─(worker slot acquired)────────────────────────► running
+//	running ──(heartbeat every DefaultHeartbeatEvery cycles)─► running
+//	running ──┬───────────────────────────────────────────────► done
+//	          ├─(panic / construction error)──────────────────► failed
+//	          └─(submission context canceled)─────────────────► canceled
 //
-// dedup, cached, done, failed, and canceled are terminal for the
-// submission (a deduplicated submission resolves to whatever its leader
-// produced).
+// dedup, cached, done, failed, and canceled are terminal, and every
+// submission emits exactly one of them. A submission that finds an
+// identical job in flight stays queued until the leader resolves, then
+// takes the leader's result and emits cached or dedup by that result's
+// origin (or, when the leader was canceled, runs the job itself).
 const (
 	EventQueued    EventKind = "queued"
 	EventDedup     EventKind = "dedup"

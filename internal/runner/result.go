@@ -119,9 +119,6 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// simulate executes one job and fills in its measurements. It is a
-// package variable so tests can substitute a crashing body to exercise
-// panic capture.
 // metricsInterval is the fixed telemetry sampling interval for runner
 // jobs. Part of the result contract: changing it changes every metrics
 // digest, so bump fingerprintVersion with it.
@@ -211,59 +208,44 @@ func canceledResult(fp string, j Job, cause error) *Result {
 	}
 }
 
+// simulate executes one job and fills in its measurements. It is a
+// package variable so tests can substitute a crashing body to exercise
+// panic capture.
 var simulate = func(j Job, res *Result, hk hooks) error {
-	app, err := apps.New(j.App, j.Scale)
+	app, err := j.newApp()
 	if err != nil {
 		return err
 	}
-	if err := j.Cfg.Validate(); err != nil {
-		return err
-	}
-	// Faulted jobs run guarded: a protocol-invariant auditor audits every
-	// epoch and at quiescence, and a watchdog converts a transport-level
-	// hang into a recorded failure instead of a stuck worker. Fault-free
-	// jobs take the exact unguarded path (both guards are background-only,
-	// but keeping them off preserves the pre-chaos runner byte for byte).
 	var aud *check.Auditor
 	var stalled string
-	preRun := func(m *machine.Machine) {
-		aud = check.New(m)
-		aud.Start(checkEpoch)
-		m.EnableWatchdog(watchdogQuiet, func(r sim.StallReport) {
-			if stalled == "" {
-				stalled = r.String()
-			}
-			m.Eng.Stop()
-		})
-	}
-	if j.Cfg.FaultPlan == "" {
-		preRun = nil
-	}
-	if hk.active() {
-		guard := preRun
-		preRun = func(m *machine.Machine) {
-			if guard != nil {
-				guard(m)
-			}
+	setup := func(m *machine.Machine) {
+		// Every runner execution is profiled: perf accounting is passive
+		// (pinned by TestPerfIsPassive) and costs two MemStats reads plus
+		// nanosecond-scale phase switches, while the snapshot feeds the
+		// runner's throughput meta, the live daemon gauges, and
+		// paperbench's trend/gate machinery.
+		m.EnablePerf()
+		// Faulted jobs run guarded: a protocol-invariant auditor audits
+		// every epoch and at quiescence, and a watchdog converts a
+		// transport-level hang into a recorded failure instead of a stuck
+		// worker. Fault-free jobs take the exact unguarded path (both
+		// guards are background-only, but keeping them off preserves the
+		// pre-chaos runner byte for byte).
+		if j.Cfg.FaultPlan != "" {
+			aud = check.New(m)
+			aud.Start(checkEpoch)
+			m.EnableWatchdog(watchdogQuiet, func(r sim.StallReport) {
+				if stalled == "" {
+					stalled = r.String()
+				}
+				m.Eng.Stop()
+			})
+		}
+		if hk.active() {
 			hk.install(m)
 		}
 	}
-	// Every runner execution is profiled: perf accounting is passive
-	// (pinned by TestPerfIsPassive) and costs two MemStats reads plus
-	// nanosecond-scale phase switches, while the snapshot feeds the
-	// runner's throughput meta, the live daemon gauges, and paperbench's
-	// trend/gate machinery. EnablePerf runs first so the profiler exists
-	// before any guard machinery schedules events.
-	{
-		inner := preRun
-		preRun = func(m *machine.Machine) {
-			m.EnablePerf()
-			if inner != nil {
-				inner(m)
-			}
-		}
-	}
-	m, reg, verr := apps.RunTracedWith(j.Cfg, j.Proto, app, metricsInterval, preRun)
+	m, reg, verr := apps.RunTracedWith(j.Cfg, j.Proto, app, metricsInterval, setup)
 	if m == nil {
 		// No machine means construction failed (unknown protocol, bad
 		// config): an execution failure, not a deterministic
@@ -273,38 +255,34 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 	if verr != nil {
 		res.VerifyErr = verr.Error()
 	}
-	if m != nil {
-		cpu, rd, wr, sy := m.Stats.Aggregate()
-		res.ExecCycles = m.Stats.ExecutionTime()
-		res.CPUCycles, res.ReadCycles, res.WriteCycles, res.SyncCycles = cpu, rd, wr, sy
-		res.MissRate = m.Stats.MissRate()
-		res.MissShares = m.Stats.MissShares()
-		res.Msgs, res.Bytes = m.Net.Stats()
-		res.MetricsDigest = reg.Digest()
-		res.Spans = m.Causal.Count()
-		res.SpanDigest = m.Causal.Digest()
-		res.MemDigest = m.MemDigest()
-		res.Completed = m.Completed()
-		if m.Perf != nil {
-			snap := m.Perf.Snapshot()
-			res.Perf = &snap
-		}
-		reord, delay, dup, drop := m.Net.FaultStats()
-		retx, _, outage, brown, _, _ := m.Net.TransportStats()
-		res.FaultsInjected = reord + delay + dup + drop + outage + brown
-		res.Retransmits = retx
-		res.DupSuppressed = m.DuplicatesIgnored()
-		if aud != nil {
-			aud.Final()
-			switch {
-			case stalled != "":
-				res.CheckErr = "watchdog: " + stalled
-			case aud.Err() != nil:
-				res.CheckErr = aud.Err().Error()
-			default:
-				if qerr := m.CheckQuiescent(); qerr != nil {
-					res.CheckErr = qerr.Error()
-				}
+	cpu, rd, wr, sy := m.Stats.Aggregate()
+	res.ExecCycles = m.Stats.ExecutionTime()
+	res.CPUCycles, res.ReadCycles, res.WriteCycles, res.SyncCycles = cpu, rd, wr, sy
+	res.MissRate = m.Stats.MissRate()
+	res.MissShares = m.Stats.MissShares()
+	res.Msgs, res.Bytes = m.Net.Stats()
+	res.MetricsDigest = reg.Digest()
+	res.Spans = m.Causal.Count()
+	res.SpanDigest = m.Causal.Digest()
+	res.MemDigest = m.MemDigest()
+	res.Completed = m.Completed()
+	snap := m.Perf.Snapshot()
+	res.Perf = &snap
+	reord, delay, dup, drop := m.Net.FaultStats()
+	retx, _, outage, brown, _, _ := m.Net.TransportStats()
+	res.FaultsInjected = reord + delay + dup + drop + outage + brown
+	res.Retransmits = retx
+	res.DupSuppressed = m.DuplicatesIgnored()
+	if aud != nil {
+		aud.Final()
+		switch {
+		case stalled != "":
+			res.CheckErr = "watchdog: " + stalled
+		case aud.Err() != nil:
+			res.CheckErr = aud.Err().Error()
+		default:
+			if qerr := m.CheckQuiescent(); qerr != nil {
+				res.CheckErr = qerr.Error()
 			}
 		}
 	}
@@ -328,19 +306,25 @@ func ExecTraced(j Job) (m *machine.Machine, err error) {
 			m, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	app, aerr := apps.New(j.App, j.Scale)
-	if aerr != nil {
-		return nil, aerr
+	app, err := j.newApp()
+	if err != nil {
+		return nil, err
 	}
-	if verr := j.Cfg.Validate(); verr != nil {
-		return nil, verr
-	}
-	m, _, _ = apps.RunTracedWith(j.Cfg, j.Proto, app, metricsInterval,
-		func(m *machine.Machine) { m.EnableSpans(true, 0) })
+	m, err = apps.RunWith(j.Cfg, j.Proto, app, func(m *machine.Machine) { m.EnableSpans(true, 0) })
 	if m == nil {
-		return nil, errors.New("runner: trace run produced no machine")
+		return nil, err
 	}
 	return m, nil
+}
+
+// newApp builds the job's application and validates its configuration,
+// the checks every execution path runs before building a machine.
+func (j Job) newApp() (apps.App, error) {
+	app, err := apps.New(j.App, j.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return app, j.Cfg.Validate()
 }
 
 // execWith is Exec with the runner's per-execution hooks: a cancellation

@@ -41,14 +41,6 @@ type Runner struct {
 	// at its pub-sub bus.
 	Emit func(Event)
 
-	// HeartbeatEvery is the simulated-cycle cadence of progress
-	// heartbeats from running jobs, delivered as EventHeartbeat through
-	// Emit. Zero selects DefaultHeartbeatEvery. Heartbeats (and the
-	// cancellation poll that shares their timer) are background engine
-	// events and do not perturb the simulation: results are bit-identical
-	// with and without them.
-	HeartbeatEvery uint64
-
 	workers int
 	store   ResultStore
 	sem     chan struct{}
@@ -154,7 +146,6 @@ func (r *Runner) Do(ctx context.Context, job Job) *Result {
 	r.account(func(*Meta) { r.pending++ })
 	defer r.account(func(*Meta) { r.pending-- })
 	r.emit(EventQueued, fp, job, 0, 0, "")
-	attached := false
 	for {
 		if err := ctx.Err(); err != nil {
 			res := canceledResult(fp, job, err)
@@ -165,7 +156,15 @@ func (r *Runner) Do(ctx context.Context, job Job) *Result {
 		r.mu.Lock()
 		if res, ok := r.done[fp]; ok {
 			r.mu.Unlock()
-			r.emit(EventDedup, fp, job, 0, 0, "")
+			// A memo hit is the submission's one terminal event, named by
+			// where the result came from: a result its leader read from
+			// the store stays "cached", so a sweep's counters do not
+			// depend on which submission reached the store first.
+			kind := EventDedup
+			if res.Cached {
+				kind = EventCached
+			}
+			r.emit(kind, fp, job, 0, 0, "")
 			return res
 		}
 		wait, ok := r.inflight[fp]
@@ -175,10 +174,6 @@ func (r *Runner) Do(ctx context.Context, job Job) *Result {
 			break
 		}
 		r.mu.Unlock()
-		if !attached {
-			attached = true
-			r.emit(EventDedup, fp, job, 0, 0, "")
-		}
 		select {
 		case <-wait:
 		case <-ctx.Done():
@@ -226,9 +221,8 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 	r.note(fmt.Sprintf("running %s", job))
 	r.emit(EventRunning, fp, job, 0, 0, "")
 	hk := hooks{
-		ctx:   ctx,
-		every: r.HeartbeatEvery,
-		beat:  func(cycle uint64) { r.emit(EventHeartbeat, fp, job, cycle, 0, "") },
+		ctx:  ctx,
+		beat: func(cycle uint64) { r.emit(EventHeartbeat, fp, job, cycle, 0, "") },
 	}
 	if r.Emit == nil {
 		hk.beat = nil

@@ -376,3 +376,31 @@ func TestHookedExecIsByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestExecTracedReplaysExec: the trace endpoint's re-run is the run the
+// store recorded. For every protocol, ExecTraced's retained span stream
+// has the digest and its machine the execution time that Exec reports.
+func TestExecTracedReplaysExec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	for _, proto := range config.ProtocolNames() {
+		t.Run(proto, func(t *testing.T) {
+			job := tinyJob("gauss", proto)
+			res := Exec(job)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ExecTraced(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Causal.Digest(); got != res.SpanDigest {
+				t.Fatalf("traced span digest %s, Exec recorded %s", got, res.SpanDigest)
+			}
+			if got := m.Stats.ExecutionTime(); got != res.ExecCycles {
+				t.Fatalf("traced run took %d cycles, Exec recorded %d", got, res.ExecCycles)
+			}
+		})
+	}
+}

@@ -84,24 +84,3 @@ func TestContextPanicSurfacesFromRun(t *testing.T) {
 		t.Fatalf("goroutines = %d after a context panic, above the baseline %d", n, base)
 	}
 }
-
-// TestRunUntilKeepsContextsAlive: RunUntil leaves unfinished contexts
-// suspended, and a later Run resumes them where they blocked.
-func TestRunUntilKeepsContextsAlive(t *testing.T) {
-	e := NewEngine()
-	var at []Time
-	c := e.Spawn("sleeper", func(c *Context) {
-		for i := 0; i < 3; i++ {
-			c.Sleep(10)
-			at = append(at, c.Now())
-		}
-	})
-	e.RunUntil(15)
-	if c.Done() || len(at) != 1 {
-		t.Fatalf("after RunUntil(15): done=%v wakes=%v", c.Done(), at)
-	}
-	e.Run()
-	if !c.Done() || fmt.Sprint(at) != "[10 20 30]" {
-		t.Fatalf("after Run: done=%v wakes=%v", c.Done(), at)
-	}
-}

@@ -241,27 +241,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then stops.
-// It does not treat remaining parked contexts as a deadlock, and keeps
-// them alive for a later Run or RunUntil.
-func (e *Engine) RunUntil(t Time) {
-	for !e.events.emptied() && e.events.peek().at <= t {
-		if e.stopped {
-			return
-		}
-		ev := e.popNext()
-		if ev.bg {
-			e.nbg--
-		}
-		e.now = ev.at
-		e.nEvents++
-		e.exec(ev)
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
 // release stops the coroutine of every unfinished context, unwinding its
 // suspended body (deferred calls run; the code after its blocking call
 // does not). The contexts keep their parked state for diagnostics.

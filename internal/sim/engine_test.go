@@ -94,25 +94,6 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var n int
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i*10), func() { n++ })
-	}
-	e.RunUntil(50)
-	if n != 5 {
-		t.Fatalf("events run = %d, want 5", n)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("now = %d, want 50", e.Now())
-	}
-	e.RunUntil(200)
-	if n != 10 {
-		t.Fatalf("events run = %d, want 10", n)
-	}
-}
-
 func TestContextSleepInterleaving(t *testing.T) {
 	e := NewEngine()
 	var trace []string

@@ -128,6 +128,8 @@ func NewApp(name string, scale Scale) (App, error) { return apps.New(name, scale
 func AppNames() []string { return apps.Names() }
 
 // RunApp executes a workload on a fresh machine and verifies its result.
+// The machine is returned even when verification fails; a nil machine
+// means it could not be built.
 func RunApp(cfg Config, proto string, app App) (*Machine, error) {
 	return apps.Run(cfg, proto, app)
 }
